@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test test-full bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control bench-ring
+.PHONY: ci fmt vet build test test-full bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control perfbench-check
 
-ci: fmt vet build test
+ci: fmt vet build test perfbench-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -24,6 +24,12 @@ test:
 # Tier-1: the full suite including the figure reproductions (~15 s).
 test-full:
 	$(GO) build ./... && $(GO) test ./...
+
+# perfbench is its own module (go.mod with a replace of the root), so the
+# root ./... never compiles it: vet and test it explicitly so an API change
+# that breaks the benchmark fails here.
+perfbench-check:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # One iteration of every benchmark — catches bit-rot, measures nothing.
 bench-smoke:
@@ -60,12 +66,6 @@ bench-failover:
 # raw vs compressed bytes over a real-TCP staged job).
 bench-wire:
 	$(GO) run ./cmd/benchwire -o BENCH_wire.json
-
-# Regenerate the committed intra-node fast-path baseline (SPSC ring vs
-# channel transport ns/message; parallel vs inline reduction throughput;
-# ring + parallel-reduce accounting identity).
-bench-ring:
-	$(GO) run ./cmd/benchring -o BENCH_ring.json
 
 # Regenerate the committed multi-job control-plane baseline (shared fleet vs
 # peak-provisioned private tiers; gates ≥25% node-second saving, the

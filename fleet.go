@@ -78,11 +78,6 @@ type FleetConfig struct {
 	MaxBatchBytes  int64
 	// Window is each endpoint's receive window in messages (default 4).
 	Window int
-	// RingDepth selects the intra-node fast path for the shared wire: when
-	// > 0 every sending thread gets private lock-free SPSC ring lanes of
-	// this depth instead of the buffered-channel endpoints (see
-	// StagingConfig.RingDepth). 0 keeps channels, byte-identical.
-	RingDepth int
 	// Reconcile is the control plane's reconcile period (default 2ms).
 	Reconcile time.Duration
 	// PreemptOccupancy is the quota-fraction at which a tenant counts as
@@ -156,23 +151,14 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			Reason: fmt.Sprintf("reservations must be ≥ 0 (0 selects the default), got MaxJobs %d MaxConsumers %d",
 				cfg.MaxJobs, cfg.MaxConsumers)}
 	}
-	if cfg.RingDepth < 0 {
-		return nil, &ConfigError{Field: "RingDepth",
-			Reason: fmt.Sprintf("must be ≥ 0 (0 = channel transport, > 0 = SPSC ring depth in messages), got %d", cfg.RingDepth)}
-	}
 	cfg = cfg.withDefaults()
 	env := realenv.New()
 	fs, err := realenv.NewFileStore(cfg.SpoolDir)
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{env: env, cfg: cfg, fs: fs}
+	f := &Fleet{env: env, cfg: cfg, fs: fs, net: realenv.NewNetwork(cfg.MaxConsumers+cfg.Stagers, cfg.Window)}
 	f.rankTenant.Store([]int(nil))
-	if cfg.RingDepth > 0 {
-		f.net = realenv.NewRingNetwork(cfg.MaxConsumers+cfg.Stagers, cfg.RingDepth)
-	} else {
-		f.net = realenv.NewNetwork(cfg.MaxConsumers+cfg.Stagers, cfg.Window)
-	}
 	for s := 0; s < cfg.Stagers; s++ {
 		spill, err := fs.Partition(fmt.Sprintf("stage%d", s))
 		if err != nil {
@@ -186,10 +172,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			Tenants:        cfg.MaxJobs,
 			Tenant:         f.tenantOfRank,
 		}
-		// Each shared stager's forwarder is one sending thread: its own
-		// port (a private SPSC lane set on the ring wire).
 		f.stagers = append(f.stagers,
-			staging.NewStager(env, scfg, s, f.net.Inbox(f.stagerBase()+s), f.net.Port(), spill))
+			staging.NewStager(env, scfg, s, f.net.Inbox(f.stagerBase()+s), f.net, spill))
 	}
 	addrs := make([]int, cfg.Stagers)
 	for s := range addrs {
@@ -247,21 +231,28 @@ func (h *fleetHost) SetTenantQuota(c rt.Ctx, addr, tenant, blocks int) {
 // the fleet instead of retiring stagers, and its Stats carry no stager
 // entries (see FleetStats for the shared tier).
 //
-// The job's staging tier is the fleet's: Staging.Stagers, Placement,
-// Elastic, Fault, Reduce, and TCPAddr must be unset, and SpoolDir is
-// optional (the job gets its own partition of the fleet's). Rejections are
-// *ConfigError values; over-subscribed quotas and an exhausted MaxJobs or
-// MaxConsumers reservation are admission rejections, not panics.
+// The job's staging tier and wire are the fleet's: Staging.Stagers,
+// Staging.BufferBlocks, Staging.Placement, Staging.Elastic, Staging.Reduce,
+// Fault, Window, and TCPAddr must be unset (FleetConfig sizes the shared
+// stagers and wire), and SpoolDir is optional (the job gets its own
+// partition of the fleet's). Rejections are *ConfigError values;
+// over-subscribed quotas and an exhausted MaxJobs or MaxConsumers
+// reservation are admission rejections, not panics.
 func (f *Fleet) Submit(cfg Config) (*Job, error) {
-	cfg = cfg.normalized()
 	switch {
 	case cfg.Staging.Stagers != 0:
 		return nil, &ConfigError{Field: "Staging.Stagers",
 			Reason: "a fleet job relays through the shared tier; size it with FleetConfig.Stagers"}
+	case cfg.Staging.BufferBlocks != 0:
+		return nil, &ConfigError{Field: "Staging.BufferBlocks",
+			Reason: "a fleet job buffers in the shared stagers; size them with FleetConfig.StagerBufferBlocks"}
+	case cfg.Window != 0:
+		return nil, &ConfigError{Field: "Window",
+			Reason: "a fleet job shares the fleet's wire; set the window with FleetConfig.Window"}
 	case cfg.Staging.Placement != RankAffine:
 		return nil, &ConfigError{Field: "Staging.Placement",
 			Reason: "a fleet job's stager placement is the control plane's decision; Placement must be left default"}
-	case cfg.Elastic.Enabled:
+	case cfg.Staging.Elastic.Enabled:
 		return nil, &ConfigError{Field: "Staging.Elastic",
 			Reason: "the shared fleet is fixed-size from a job's point of view; resize it through the fleet, not per job"}
 	case cfg.Fault.Enabled:
@@ -280,7 +271,6 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 		probe.SpoolDir = f.cfg.SpoolDir
 	}
 	probe.Staging.Stagers = f.cfg.Stagers
-	probe = probe.normalized()
 	if err := probe.validate(); err != nil {
 		return nil, err
 	}
@@ -336,14 +326,14 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 		MaxBatchBlocks:       cfg.MaxBatchBlocks,
 		MaxBatchBytes:        cfg.MaxBatchBytes,
 		DisableSteal:         cfg.DisableSteal,
-		RoutePolicy:          cfg.RoutePolicy,
-		Adaptive:             cfg.Adaptive,
+		RoutePolicy:          cfg.Staging.RoutePolicy,
+		Adaptive:             cfg.Staging.Adaptive,
 		Recorder:             cfg.Recorder,
 	}
 	if cfg.Preserve {
 		ccfg.Mode = core.Preserve
 	}
-	if cfg.RoutePolicy != RouteDirect {
+	if cfg.Staging.RoutePolicy != RouteDirect {
 		// The tenant's slice of the fleet: an epoch-versioned directory the
 		// control plane edits and the producers Peek/Claim/Done against,
 		// with tenant-scoped occupancy as the routing signal — another
@@ -369,9 +359,8 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 	}
 	for p := 0; p < cfg.Producers; p++ {
 		dest := consBase + p*cfg.Consumers/cfg.Producers
-		// Each producer's sender is one sending thread: its own port.
 		j.prod = append(j.prod, &Producer{
-			p:   core.NewStagedProducer(f.env, ccfg, rankBase+p, dest, core.NoStager, f.net.Port(), jobfs),
+			p:   core.NewStagedProducer(f.env, ccfg, rankBase+p, dest, core.NoStager, f.net, jobfs),
 			ctx: f.env.Ctx(),
 		})
 	}

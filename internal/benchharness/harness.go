@@ -151,9 +151,10 @@ var FlowScenarios = []FlowScenario{
 func RunFlow(spoolDir string, v StagingVariant, sc FlowScenario) (zipper.JobStats, error) {
 	job, err := zipper.NewJob(zipper.Config{
 		Producers: sc.Producers, Consumers: 1, SpoolDir: spoolDir,
-		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
-		Stagers: v.Stagers, StagerBufferBlocks: sc.StagerBufferBlocks,
-		RoutePolicy: v.Policy, DisableSteal: sc.DisableSteal,
+		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8, DisableSteal: sc.DisableSteal,
+		Staging: zipper.StagingConfig{
+			Stagers: v.Stagers, BufferBlocks: sc.StagerBufferBlocks, RoutePolicy: v.Policy,
+		},
 	})
 	if err != nil {
 		return zipper.JobStats{}, err
@@ -249,10 +250,11 @@ var ElasticVariants = []ElasticVariant{
 func RunElastic(spoolDir string, v ElasticVariant, sc ElasticScenario) (zipper.JobStats, error) {
 	job, err := zipper.NewJob(zipper.Config{
 		Producers: sc.Producers, Consumers: 1, SpoolDir: spoolDir,
-		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
-		Stagers: v.Stagers, StagerBufferBlocks: sc.StagerBufferBlocks,
-		RoutePolicy: zipper.RouteAdaptive, DisableSteal: true,
-		Elastic: v.Elastic,
+		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8, DisableSteal: true,
+		Staging: zipper.StagingConfig{
+			Stagers: v.Stagers, BufferBlocks: sc.StagerBufferBlocks,
+			RoutePolicy: zipper.RouteAdaptive, Elastic: v.Elastic,
+		},
 	})
 	if err != nil {
 		return zipper.JobStats{}, err
@@ -363,10 +365,11 @@ var PlacementVariants = []PlacementVariant{
 func RunPlacement(spoolDir string, v PlacementVariant, sc PlacementScenario) (zipper.JobStats, error) {
 	job, err := zipper.NewJob(zipper.Config{
 		Producers: sc.Producers, Consumers: sc.Consumers, SpoolDir: spoolDir,
-		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
-		Stagers: sc.Stagers, StagerBufferBlocks: sc.StagerBufferBlocks,
-		RoutePolicy: zipper.RouteStaging, Placement: v.Placement,
-		DisableSteal: true,
+		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8, DisableSteal: true,
+		Staging: zipper.StagingConfig{
+			Stagers: sc.Stagers, BufferBlocks: sc.StagerBufferBlocks,
+			RoutePolicy: zipper.RouteStaging, Placement: v.Placement,
+		},
 	})
 	if err != nil {
 		return zipper.JobStats{}, err
@@ -428,8 +431,9 @@ func RunStaging(spoolDir string, v StagingVariant, producers, blocks, blockBytes
 	job, err := zipper.NewJob(zipper.Config{
 		Producers: producers, Consumers: 1, SpoolDir: spoolDir,
 		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
-		Stagers: v.Stagers, StagerBufferBlocks: producers * blocks,
-		RoutePolicy: v.Policy,
+		Staging: zipper.StagingConfig{
+			Stagers: v.Stagers, BufferBlocks: producers * blocks, RoutePolicy: v.Policy,
+		},
 	})
 	if err != nil {
 		return zipper.JobStats{}, err

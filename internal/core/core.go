@@ -176,15 +176,6 @@ type Config struct {
 	// above the spill high-water mark — the "compress instead of spill"
 	// rung. The zero value disables reduction entirely.
 	Reduce reduce.Config
-	// ReducePipeline, when non-nil, fans the sender thread's relay-path
-	// encode out across the pipeline's shared worker pool instead of
-	// encoding inline (Reduce.Workers != 0 selects it; zipper builds one
-	// pipeline per job and hands it to every producer and stager). Only
-	// consulted for stateless operators — Delta keeps its single in-order
-	// encode path on the sender thread regardless (see reduce.Pipeline).
-	// The pipeline encodes in place and joins before the send, so batch
-	// order, per-stream run order, and wire bytes are identical to inline.
-	ReducePipeline *reduce.Pipeline
 	// DisableSteal turns the writer thread off, yielding the
 	// message-passing-only baseline of §6.2.
 	DisableSteal bool

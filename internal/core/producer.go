@@ -232,22 +232,10 @@ func (p *Producer) senderThread(c rt.Ctx) {
 			// Reduce the batch before it hits the wire. The encoder touches
 			// every raw byte, so the simulated platform charges the pass at
 			// memory bandwidth; decode happens once, at the consumer edge.
-			if pp := p.cfg.ReducePipeline; pp != nil && p.enc.Stateless() {
-				// Parallel encode across the job's shared worker pool:
-				// in-place and joined before the send, so batch order and
-				// wire bytes match the inline path exactly.
-				for _, b := range blocks {
-					p.env.CopyDelay(c, b.Bytes)
-				}
-				if err := pp.EncodeBatch(blocks); err != nil {
-					panic(fmt.Sprintf("core: reducing batch: %v", err))
-				}
-			} else {
-				for _, b := range blocks {
-					p.env.CopyDelay(c, b.Bytes)
-					if err := p.enc.EncodeBlock(b); err != nil {
-						panic(fmt.Sprintf("core: reducing block %v: %v", b.ID, err))
-					}
+			for _, b := range blocks {
+				p.env.CopyDelay(c, b.Bytes)
+				if err := p.enc.EncodeBlock(b); err != nil {
+					panic(fmt.Sprintf("core: reducing block %v: %v", b.ID, err))
 				}
 			}
 		}

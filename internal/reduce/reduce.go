@@ -99,22 +99,6 @@ type Config struct {
 	// (EncBytes = ceil(ModelRatio × Bytes)). 0 means the per-operator
 	// default: 0.35 for Compress, 0.22 for Delta, 1/Stride for Stride.
 	ModelRatio float64
-	// Workers parallelizes the encode of stateless operators (Compress,
-	// Stride) across a shared bounded worker pool (see Pipeline): 0 keeps
-	// every encode inline on its sending thread — the pinned default,
-	// byte-identical to earlier revisions — -1 scales the pool to
-	// GOMAXPROCS, and N > 0 uses exactly N workers. Per-block flate output
-	// is deterministic, so the parallel encode is byte-identical to inline;
-	// only the CPU it burns moves off the relay critical path.
-	//
-	// Delta must keep Workers == 0 (Validate rejects it): every Delta
-	// encode XORs against the retained raw payload of the SAME stream's
-	// previous step and then replaces that base, so encode N+1 depends on
-	// encode N having completed — and the decoder replays the identical
-	// base chain in step order. Parallel workers would race the base
-	// update and desync the decoder. Delta stays on its single in-order
-	// path by construction.
-	Workers int
 }
 
 // Enabled reports whether the config names an operator.
@@ -138,15 +122,6 @@ func (c Config) Validate() error {
 	}
 	if c.ModelRatio < 0 || c.ModelRatio > 1 {
 		return fmt.Errorf("reduce: ModelRatio %v out of [0,1]", c.ModelRatio)
-	}
-	if c.Workers < -1 {
-		return fmt.Errorf("reduce: Workers %d out of range (-1 = GOMAXPROCS, 0 = inline, N > 0 = fixed pool)", c.Workers)
-	}
-	if c.Workers != 0 && c.Operator == None {
-		return fmt.Errorf("reduce: Workers is only meaningful with an operator")
-	}
-	if c.Workers != 0 && !c.Operator.Stateless() {
-		return fmt.Errorf("reduce: %v needs its single in-order encode path (each step's encode consumes the previous step's base); Workers must be 0", c.Operator)
 	}
 	return nil
 }
@@ -218,10 +193,6 @@ func NewEncoder(cfg Config) *Encoder {
 // Kind reports the configured operator.
 func (e *Encoder) Kind() Kind { return e.cfg.Operator }
 
-// Stateless reports whether this encoder may be applied off the in-order
-// stream path (see Kind.Stateless).
-func (e *Encoder) Stateless() bool { return e.cfg.Operator.Stateless() }
-
 // EncodeBlock reduces b's payload in place. Blocks already carrying an
 // encoding, and blocks the operator cannot shrink, are left untouched (the
 // stateful Delta operator always encodes — see below). In simulation mode
@@ -260,7 +231,7 @@ func (e *Encoder) EncodeBlock(b *block.Block) error {
 // flatePools shares flate.Writers across every Encoder in the process, one
 // pool per compression level (index level − HuffmanOnly). A flate.Writer
 // carries ~700 KiB of compressor state; before pooling, every encoder
-// allocated its own, so encoder churn — a pipeline worker per core, the
+// allocated its own, so encoder churn — every producer's sender, the
 // stager's forwarder and spiller pair, short-lived spill encoders — paid
 // that allocation again and again. Writers park here between encodes and
 // are Reset onto the borrowing encoder's buffer.

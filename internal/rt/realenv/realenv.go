@@ -71,49 +71,46 @@ func (c *cond) Signal()     { c.c.Signal() }
 func (c *cond) Broadcast()  { c.c.Broadcast() }
 
 // Network is the in-process message path: `endpoints` receive endpoints
-// (consumers first, then any in-transit stagers) over a pluggable endpoint
-// set. The default set is one buffered channel per endpoint whose capacity
-// is the receive window; NewRingNetwork swaps in pairwise lock-free SPSC
-// rings — the intra-node fast path for co-located ranks. On either set,
-// senders block while the destination window is full, providing the
-// backpressure the runtime's stealing and routing logic react to.
+// (consumers first, then any in-transit stagers), each one buffered channel
+// whose capacity is the receive window. Senders block while the destination
+// window is full, providing the backpressure the runtime's stealing and
+// routing logic react to. Channel sends are safe from any thread, so every
+// sender shares the one Network.
 type Network struct {
-	eps endpointSet
+	inboxes []chan rt.Message
 }
 
-// NewNetwork creates `endpoints` channel-backed receive endpoints with the
-// given receive-window depth (messages) — the pinned default path.
+// NewNetwork creates `endpoints` receive endpoints with the given
+// receive-window depth (messages).
 func NewNetwork(endpoints, window int) *Network {
-	return &Network{eps: newChanEndpoints(endpoints, window)}
-}
-
-// NewRingNetwork creates `endpoints` ring-backed receive endpoints: every
-// sending thread that takes a Port gets a private wait-free SPSC lane of
-// `depth` messages (rounded up to a power of two) into each endpoint it
-// addresses. Selected by Config.Staging.RingDepth > 0.
-func NewRingNetwork(endpoints, depth int) *Network {
-	if depth < 1 {
-		depth = 1
+	if window < 1 {
+		window = 1
 	}
-	return &Network{eps: newRingEndpoints(endpoints, depth)}
+	n := &Network{}
+	for i := 0; i < endpoints; i++ {
+		n.inboxes = append(n.inboxes, make(chan rt.Message, window))
+	}
+	return n
 }
 
-// Send delivers m to endpoint `to`, blocking while its window is full. Safe
-// from any thread; hot senders should prefer a Port.
-func (n *Network) Send(c rt.Ctx, to int, m rt.Message) { n.eps.Send(c, to, m) }
+// Send delivers m to endpoint `to`, blocking while its window is full.
+func (n *Network) Send(c rt.Ctx, to int, m rt.Message) { n.inboxes[to] <- m }
 
 // Credits reports how many more messages endpoint `to` can accept right now
-// — the hybrid routing policy's direct-path backpressure signal. On the
-// ring set this is derived from ring occupancy (free lane slots).
-func (n *Network) Credits(to int) int { return n.eps.Credits(to) }
+// — the hybrid routing policy's direct-path backpressure signal.
+func (n *Network) Credits(to int) int {
+	return cap(n.inboxes[to]) - len(n.inboxes[to])
+}
 
 // Inbox returns endpoint i's receive side.
-func (n *Network) Inbox(i int) rt.Inbox { return n.eps.Inbox(i) }
+func (n *Network) Inbox(i int) rt.Inbox { return inbox(n.inboxes[i]) }
 
-// Port returns a transport handle for one sending thread. On the ring set
-// it mints the thread's private SPSC lanes; on the channel set it is the
-// network itself, so callers can hold a port unconditionally.
-func (n *Network) Port() rt.Transport { return n.eps.Port() }
+type inbox chan rt.Message
+
+func (b inbox) Recv(c rt.Ctx) (rt.Message, bool) {
+	m, ok := <-b
+	return m, ok
+}
 
 // FileStore spills and preserves blocks as files in a directory, standing in
 // for the parallel file system. File layout: 29-byte header (offset, payload

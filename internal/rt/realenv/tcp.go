@@ -77,10 +77,11 @@ const (
 )
 
 // TCPListener is the consumer-side endpoint set, hosted behind the accept
-// loop: each accepted connection's reader delivers into the shared set.
+// loop: each accepted connection's reader delivers into the shared
+// in-process Network.
 type TCPListener struct {
 	ln     net.Listener
-	eps    endpointSet
+	eps    *Network
 	wg     sync.WaitGroup
 	mu     sync.Mutex
 	closed bool
@@ -91,29 +92,6 @@ type TCPListener struct {
 // `endpoints` counts consumers plus any stager goroutines the caller will
 // run in this process (stager inboxes follow the consumer inboxes).
 func ListenTCP(addr string, endpoints, window int) (*TCPListener, error) {
-	if window < 1 {
-		window = 1
-	}
-	return listenTCP(addr, endpoints, func() endpointSet {
-		return newChanEndpoints(endpoints, window)
-	})
-}
-
-// ListenTCPRing starts the consumer-side endpoint set on addr over the SPSC
-// ring transport: each accepted connection's reader goroutine — naturally a
-// single producer — gets a private wait-free lane into the endpoints it
-// addresses, and in-process stagers forward through LoopbackPort lanes.
-// Selected by Config.Staging.RingDepth > 0 on a TCP job.
-func ListenTCPRing(addr string, endpoints, depth int) (*TCPListener, error) {
-	if depth < 1 {
-		depth = 1
-	}
-	return listenTCP(addr, endpoints, func() endpointSet {
-		return newRingEndpoints(endpoints, depth)
-	})
-}
-
-func listenTCP(addr string, endpoints int, mkSet func() endpointSet) (*TCPListener, error) {
 	if endpoints < 1 {
 		return nil, fmt.Errorf("realenv: need ≥1 endpoint, got %d", endpoints)
 	}
@@ -121,7 +99,7 @@ func listenTCP(addr string, endpoints int, mkSet func() endpointSet) (*TCPListen
 	if err != nil {
 		return nil, fmt.Errorf("realenv: listen: %w", err)
 	}
-	l := &TCPListener{ln: ln, eps: mkSet()}
+	l := &TCPListener{ln: ln, eps: NewNetwork(endpoints, window)}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -133,25 +111,11 @@ func (l *TCPListener) Addr() string { return l.ln.Addr().String() }
 // Inbox returns endpoint i's receive side.
 func (l *TCPListener) Inbox(i int) rt.Inbox { return l.eps.Inbox(i) }
 
-// Loopback returns a transport that delivers straight into this listener's
-// endpoint set — the path a stager goroutine running in the listening
-// process uses to forward relayed frames to its consumers. Safe from any
-// thread; hot forwarders should prefer LoopbackPort.
-func (l *TCPListener) Loopback() rt.Transport { return loopback{l} }
-
-// LoopbackPort returns a loopback transport handle for one forwarding
-// thread: on the ring set it mints the thread's private SPSC lanes, on the
-// channel set it is the shared loopback, so callers can hold one per stager
-// unconditionally.
-func (l *TCPListener) LoopbackPort() rt.Transport { return l.eps.Port() }
-
-type loopback struct{ l *TCPListener }
-
-func (lb loopback) Send(c rt.Ctx, to int, m rt.Message) { lb.l.eps.Send(c, to, m) }
-
-// Credits reports endpoint `to`'s remaining window, for hybrid routing
-// inside the listening process.
-func (lb loopback) Credits(to int) int { return lb.l.eps.Credits(to) }
+// Loopback returns the transport that delivers straight into this
+// listener's endpoints — the path a stager goroutine running in the
+// listening process uses to forward relayed frames to its consumers. Safe
+// from any thread; its Credits serve hybrid routing inside the process.
+func (l *TCPListener) Loopback() rt.Transport { return l.eps }
 
 // Close stops accepting; established connections drain until their peers
 // close.
@@ -175,11 +139,7 @@ func (l *TCPListener) acceptLoop() {
 		go func() {
 			defer l.wg.Done()
 			defer conn.Close()
-			// Each connection has exactly one reader goroutine, so the
-			// reader is a natural single producer: on the ring set its port
-			// is a private wait-free lane per addressed endpoint.
-			port := l.eps.Port()
-			endpoints := l.eps.Endpoints()
+			endpoints := len(l.eps.inboxes)
 			r := bufio.NewReaderSize(conn, 1<<20)
 			for {
 				to, m, err := readFrame(r)
@@ -189,7 +149,7 @@ func (l *TCPListener) acceptLoop() {
 				if to < 0 || to >= endpoints {
 					return // corrupt target: drop the connection
 				}
-				port.Send(nil, to, m)
+				l.eps.Send(nil, to, m)
 			}
 		}()
 	}

@@ -151,26 +151,6 @@ type CreditTransport interface {
 	Credits(to int) int
 }
 
-// PortTransport is optionally implemented by transports whose hot path
-// benefits from a per-sender lane — the realenv SPSC ring network, where
-// each sending thread owns private wait-free rings into the endpoints it
-// addresses. Port returns a Transport (usually also a CreditTransport)
-// bound to exactly one sending thread; transports without per-sender state
-// return a handle that is safe to share. PortOf is the generic accessor.
-type PortTransport interface {
-	Transport
-	Port() Transport
-}
-
-// PortOf returns a per-sender transport handle for tr: its minted Port when
-// tr is a PortTransport, otherwise tr itself.
-func PortOf(tr Transport) Transport {
-	if pt, ok := tr.(PortTransport); ok {
-		return pt.Port()
-	}
-	return tr
-}
-
 // Inbox is a consumer's receive endpoint.
 type Inbox interface {
 	// Recv blocks for the next message; ok=false means the inbox was closed.

@@ -88,14 +88,6 @@ type Config struct {
 	// the stager encodes nothing itself (producer-side reduction is where
 	// non-gated encoding lives).
 	Reduce reduce.Config
-	// Pipeline, when non-nil, fans the forwarder's gated encode out across
-	// a shared worker pool instead of encoding inline on the forwarder
-	// thread (Reduce.Workers != 0 selects it; zipper builds one pipeline
-	// per job). Stateless operators only — and the spiller always encodes
-	// its single victim inline, where a pool buys nothing. The pipeline
-	// encodes in place and joins before the send, so forwarded batch order
-	// and wire bytes are identical to inline.
-	Pipeline *reduce.Pipeline
 	// Recorder, when non-nil, captures the stager threads' activity spans.
 	Recorder *trace.Recorder
 
@@ -886,24 +878,13 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 			// threshold, so burn forwarder CPU shrinking what goes on the wire
 			// before the raised PFS rung engages. Blocks that arrived already
 			// encoded pass through untouched.
-			if pp := s.cfg.Pipeline; pp != nil && s.fwdEnc.Stateless() {
-				for _, b := range blocks {
-					if b.Enc == 0 {
-						s.env.CopyDelay(c, b.Bytes)
-					}
+			for _, b := range blocks {
+				if b.Enc != 0 {
+					continue
 				}
-				if err := pp.EncodeBatch(blocks); err != nil {
-					panic(fmt.Sprintf("staging: reducing relayed batch: %v", err))
-				}
-			} else {
-				for _, b := range blocks {
-					if b.Enc != 0 {
-						continue
-					}
-					s.env.CopyDelay(c, b.Bytes)
-					if err := s.fwdEnc.EncodeBlock(b); err != nil {
-						panic(fmt.Sprintf("staging: reducing relayed block: %v", err))
-					}
+				s.env.CopyDelay(c, b.Bytes)
+				if err := s.fwdEnc.EncodeBlock(b); err != nil {
+					panic(fmt.Sprintf("staging: reducing relayed block: %v", err))
 				}
 			}
 		}

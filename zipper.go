@@ -44,26 +44,27 @@
 // Block.Release close the allocation loop so steady-state transfer reuses
 // payload buffers instead of allocating fresh ones.
 //
-// With Config.Stagers ≥ 1 and a non-direct RoutePolicy, the job adds the
-// in-transit staging tier: the sender picks a channel per batch (direct,
-// staging relay, or — implicitly, through backpressure — the work-stealing
-// file-system path), and stagers absorb bursts in memory, re-batch, spill
-// overflow to their own SpoolDir partitions, and forward to the consumers.
+// With Config.Staging.Stagers ≥ 1 and a non-direct Staging.RoutePolicy, the
+// job adds the in-transit staging tier: the sender picks a channel per batch
+// (direct, staging relay, or — implicitly, through backpressure — the
+// work-stealing file-system path), and stagers absorb bursts in memory,
+// re-batch, spill overflow to their own SpoolDir partitions, and forward to
+// the consumers.
 //
-// With Config.Elastic.Enabled the staging tier becomes an autoscaled
+// With Config.Staging.Elastic.Enabled the staging tier becomes an autoscaled
 // resource: Stagers turns into a reserved endpoint ceiling, producers
 // resolve their stager per batch from an epoch-versioned pool, and a scaler
 // grows and drains endpoints at runtime on the pool-wide occupancy,
 // forward-rate, and spill signals. Job.Stats reports the scaling timeline
 // and the stager node-seconds the pool actually billed.
 //
-// Config.Placement selects the placement plane's policy — how producers
-// resolve their consumer and stager endpoints: RankAffine (the fixed
-// assignments of earlier revisions, the default), LeastOccupancy (every
-// batch to the emptiest endpoint, shrinking relay imbalance when producer
-// rates diverge), or HashRing (consistent hashing, stable across elastic
-// membership epochs). Job.Stats reports the per-stager RelayImbalance the
-// load-aware policies exist to shrink.
+// Config.Staging.Placement selects the placement plane's policy — how
+// producers resolve their consumer and stager endpoints: RankAffine (the
+// fixed assignments of earlier revisions, the default), LeastOccupancy
+// (every batch to the emptiest endpoint, shrinking relay imbalance when
+// producer rates diverge), or HashRing (consistent hashing, stable across
+// elastic membership epochs). Job.Stats reports the per-stager
+// RelayImbalance the load-aware policies exist to shrink.
 //
 // Config.Fault turns the staging tier into a survivable data plane: every
 // stager holds a lease in the placement directory renewed by heartbeats,
@@ -154,11 +155,7 @@ type ScaleEvent = elastic.Event
 
 // StagingConfig groups the in-transit staging tier's configuration — the
 // endpoint count, buffering, routing, placement, and autoscaling knobs the
-// tier reads as one unit. The flat Config fields of earlier revisions
-// (Config.Stagers, Config.StagerBufferBlocks, Config.RoutePolicy,
-// Config.Placement, Config.Adaptive, Config.Elastic) remain as deprecated
-// aliases: a zero field here inherits the flat value, a non-zero field here
-// wins, so existing callers compile and behave unchanged.
+// tier reads as one unit.
 type StagingConfig struct {
 	// Stagers is the number of in-transit staging endpoints — the third
 	// channel between the in-memory message path and the file-system path.
@@ -206,17 +203,6 @@ type StagingConfig struct {
 	// always carry raw payloads). Off (the default), every byte travels
 	// unreduced — byte-identical to earlier revisions.
 	Reduce ReduceConfig
-	// RingDepth selects the intra-node fast path: when > 0, co-located
-	// endpoint pairs exchange messages over padded lock-free SPSC rings of
-	// this depth (messages, rounded up to a power of two) instead of
-	// buffered Go channels — every sending thread gets a private wait-free
-	// lane per endpoint it addresses, and Credits derives from ring
-	// occupancy so the routing policies read the same backpressure signal.
-	// Applies to the whole in-process network and, on a TCP job, to the
-	// listener's endpoint set (per-connection reader lanes plus the
-	// stagers' loopback lanes). 0 (the default) keeps the channel
-	// transport, pinned byte-identical to earlier revisions.
-	RingDepth int
 }
 
 // ReduceConfig selects and tunes in-transit payload reduction — the
@@ -346,7 +332,8 @@ type Config struct {
 	// head block of a batch is always sent, even when it alone exceeds the
 	// cap.
 	MaxBatchBytes int64
-	// Window is each consumer's receive window in messages (default 4).
+	// Window is the receive window, in messages, of every endpoint on the
+	// wire — each consumer and each stager (default 4).
 	Window int
 	// TCPAddr, when non-empty, carries every producer→endpoint message over
 	// real TCP sockets instead of the in-process channel network: NewJob
@@ -361,10 +348,7 @@ type Config struct {
 	// needs delivery ordering across endpoints that concurrent TCP streams
 	// do not provide.
 	TCPAddr string
-	// Staging groups the in-transit staging tier's configuration. The flat
-	// fields below (Stagers through Elastic) are this group's deprecated
-	// aliases, kept so existing callers compile unchanged: a zero field
-	// here inherits the flat value, and a non-zero field here wins.
+	// Staging groups the in-transit staging tier's configuration.
 	Staging StagingConfig
 	// Fault enables and tunes the survivable data plane: leases and
 	// heartbeats on every staging endpoint, write-ahead journaling of
@@ -372,37 +356,6 @@ type Config struct {
 	// endpoint dies. It needs Staging.Stagers ≥ 1 and a RoutePolicy that
 	// can reach the tier.
 	Fault FaultConfig
-	// Stagers is the number of in-transit staging endpoints.
-	//
-	// Deprecated: set Staging.Stagers instead; this alias remains for
-	// existing callers and behaves identically.
-	Stagers int
-	// StagerBufferBlocks is each stager's in-memory buffer capacity.
-	//
-	// Deprecated: set Staging.BufferBlocks instead; this alias remains for
-	// existing callers and behaves identically.
-	StagerBufferBlocks int
-	// RoutePolicy picks the channel for each drained batch when Stagers ≥ 1.
-	//
-	// Deprecated: set Staging.RoutePolicy instead; this alias remains for
-	// existing callers and behaves identically.
-	RoutePolicy RoutePolicy
-	// Placement selects how producers resolve their consumer and stager
-	// endpoints.
-	//
-	// Deprecated: set Staging.Placement instead; this alias remains for
-	// existing callers and behaves identically.
-	Placement Placement
-	// Adaptive tunes the RouteAdaptive controller (ignored otherwise).
-	//
-	// Deprecated: set Staging.Adaptive instead; this alias remains for
-	// existing callers and behaves identically.
-	Adaptive AdaptiveTuning
-	// Elastic enables and tunes the staging-tier autoscaler.
-	//
-	// Deprecated: set Staging.Elastic instead; this alias remains for
-	// existing callers and behaves identically.
-	Elastic ElasticConfig
 	// Preserve keeps every block on the file system for later validation.
 	Preserve bool
 	// DisableSteal turns the dual-channel optimization off
@@ -426,7 +379,6 @@ type Job struct {
 	prod  []*Producer
 	cons  []*Consumer
 	stage []*staging.Stager // fixed staging tier (Elastic off)
-	pipe  *reduce.Pipeline  // shared parallel-encode pool (Reduce.Workers != 0)
 
 	// Real-TCP wire mode (Config.TCPAddr): the listener hosting every
 	// consumer and stager inbox, plus each producer's dialed connection.
@@ -472,44 +424,10 @@ type jobStager struct {
 	lost      int64            // blocks declared unrecoverable at replay
 }
 
-// normalized resolves the deprecated flat staging aliases against the
-// grouped StagingConfig — a non-zero grouped field wins, a zero grouped
-// field inherits the flat value — and mirrors the result into both views,
-// so the runtime (and the tests pinning the equivalence) can read either.
-func (cfg Config) normalized() Config {
-	s := &cfg.Staging
-	if s.Stagers == 0 {
-		s.Stagers = cfg.Stagers
-	}
-	if s.BufferBlocks == 0 {
-		s.BufferBlocks = cfg.StagerBufferBlocks
-	}
-	if s.RoutePolicy == RouteDirect {
-		s.RoutePolicy = cfg.RoutePolicy
-	}
-	if s.Placement == RankAffine {
-		s.Placement = cfg.Placement
-	}
-	if s.Adaptive == (AdaptiveTuning{}) {
-		s.Adaptive = cfg.Adaptive
-	}
-	if s.Elastic == (ElasticConfig{}) {
-		s.Elastic = cfg.Elastic
-	}
-	cfg.Stagers = s.Stagers
-	cfg.StagerBufferBlocks = s.BufferBlocks
-	cfg.RoutePolicy = s.RoutePolicy
-	cfg.Placement = s.Placement
-	cfg.Adaptive = s.Adaptive
-	cfg.Elastic = s.Elastic
-	return cfg
-}
-
 // validate rejects configurations that would otherwise hang, panic, or
 // silently misbehave deep inside the runtime. Every rejection is a
 // *ConfigError naming the offending field.
 func (cfg Config) validate() error {
-	cfg = cfg.normalized()
 	if cfg.Producers < 1 {
 		return &ConfigError{Field: "Producers", Reason: fmt.Sprintf("must be ≥ 1, got %d", cfg.Producers)}
 	}
@@ -561,40 +479,40 @@ func (cfg Config) validate() error {
 		return &ConfigError{Field: "Staging.BufferBlocks",
 			Reason: fmt.Sprintf("must be ≥ 0, got %d", cfg.Staging.BufferBlocks)}
 	}
-	switch cfg.RoutePolicy {
+	switch cfg.Staging.RoutePolicy {
 	case RouteDirect, RouteStaging, RouteHybrid, RouteAdaptive:
 	default:
 		// RoutePolicy.String renders out-of-range values as "unknown(N)".
 		return &ConfigError{Field: "Staging.RoutePolicy",
 			Reason: fmt.Sprintf("%v is not a policy (valid: %v, %v, %v, %v)",
-				cfg.RoutePolicy, RouteDirect, RouteStaging, RouteHybrid, RouteAdaptive)}
+				cfg.Staging.RoutePolicy, RouteDirect, RouteStaging, RouteHybrid, RouteAdaptive)}
 	}
-	if cfg.RoutePolicy != RouteDirect && cfg.Staging.Stagers == 0 {
+	if cfg.Staging.RoutePolicy != RouteDirect && cfg.Staging.Stagers == 0 {
 		return &ConfigError{Field: "Staging.Stagers",
-			Reason: fmt.Sprintf("RoutePolicy %v needs Stagers ≥ 1", cfg.RoutePolicy)}
+			Reason: fmt.Sprintf("RoutePolicy %v needs Stagers ≥ 1", cfg.Staging.RoutePolicy)}
 	}
-	if !cfg.Placement.Valid() {
+	if !cfg.Staging.Placement.Valid() {
 		// Placement.String renders out-of-range values as "unknown(N)".
 		return &ConfigError{Field: "Staging.Placement",
 			Reason: fmt.Sprintf("%v is not a policy (valid: %v, %v, %v)",
-				cfg.Placement, RankAffine, LeastOccupancy, HashRing)}
+				cfg.Staging.Placement, RankAffine, LeastOccupancy, HashRing)}
 	}
-	if cfg.Adaptive.MinShare < 0 || cfg.Adaptive.MaxShare < 0 ||
-		cfg.Adaptive.MinShare > 1 || cfg.Adaptive.MaxShare > 1 {
+	if cfg.Staging.Adaptive.MinShare < 0 || cfg.Staging.Adaptive.MaxShare < 0 ||
+		cfg.Staging.Adaptive.MinShare > 1 || cfg.Staging.Adaptive.MaxShare > 1 {
 		return &ConfigError{Field: "Staging.Adaptive",
 			Reason: fmt.Sprintf("shares must lie in [0,1], got min %v max %v",
-				cfg.Adaptive.MinShare, cfg.Adaptive.MaxShare)}
+				cfg.Staging.Adaptive.MinShare, cfg.Staging.Adaptive.MaxShare)}
 	}
-	if cfg.Adaptive.MaxShare > 0 && cfg.Adaptive.MinShare > cfg.Adaptive.MaxShare {
+	if cfg.Staging.Adaptive.MaxShare > 0 && cfg.Staging.Adaptive.MinShare > cfg.Staging.Adaptive.MaxShare {
 		return &ConfigError{Field: "Staging.Adaptive",
 			Reason: fmt.Sprintf("MinShare (%v) exceeds MaxShare (%v)",
-				cfg.Adaptive.MinShare, cfg.Adaptive.MaxShare)}
+				cfg.Staging.Adaptive.MinShare, cfg.Staging.Adaptive.MaxShare)}
 	}
-	if cfg.Adaptive.Tau < 0 || cfg.Adaptive.Decay < 0 {
+	if cfg.Staging.Adaptive.Tau < 0 || cfg.Staging.Adaptive.Decay < 0 {
 		return &ConfigError{Field: "Staging.Adaptive",
 			Reason: "time constants must be ≥ 0 (0 selects the default)"}
 	}
-	if cfg.Elastic.Enabled && cfg.RoutePolicy == RouteDirect {
+	if cfg.Staging.Elastic.Enabled && cfg.Staging.RoutePolicy == RouteDirect {
 		return &ConfigError{Field: "Staging.Elastic",
 			Reason: fmt.Sprintf("elastic staging needs a RoutePolicy that can reach the tier (valid: %v, %v, %v)",
 				RouteStaging, RouteHybrid, RouteAdaptive)}
@@ -607,24 +525,20 @@ func (cfg Config) validate() error {
 	if cfg.Producers < ceiling {
 		ceiling = cfg.Producers
 	}
-	if err := cfg.Elastic.Validate(ceiling); err != nil {
+	if err := cfg.Staging.Elastic.Validate(ceiling); err != nil {
 		return &ConfigError{Field: "Staging.Elastic", Reason: err.Error()}
-	}
-	if cfg.Staging.RingDepth < 0 {
-		return &ConfigError{Field: "Staging.RingDepth",
-			Reason: fmt.Sprintf("must be ≥ 0 (0 = channel transport, > 0 = SPSC ring depth in messages), got %d", cfg.Staging.RingDepth)}
 	}
 	if err := cfg.Staging.Reduce.Validate(); err != nil {
 		return &ConfigError{Field: "Staging.Reduce", Reason: err.Error()}
 	}
 	if cfg.Staging.Reduce.Enabled() {
-		if cfg.Staging.Stagers < 1 || cfg.RoutePolicy == RouteDirect {
+		if cfg.Staging.Stagers < 1 || cfg.Staging.RoutePolicy == RouteDirect {
 			return &ConfigError{Field: "Staging.Reduce",
 				Reason: fmt.Sprintf("reduction applies at relay time; it needs Stagers ≥ 1 and a RoutePolicy that can reach the tier (valid: %v, %v, %v)",
 					RouteStaging, RouteHybrid, RouteAdaptive)}
 		}
 		if cfg.Staging.Reduce.Operator == ReduceDelta &&
-			(cfg.Elastic.Enabled || cfg.Fault.Enabled || cfg.Placement != RankAffine) {
+			(cfg.Staging.Elastic.Enabled || cfg.Fault.Enabled || cfg.Staging.Placement != RankAffine) {
 			return &ConfigError{Field: "Staging.Reduce",
 				Reason: "delta encoding needs a single in-order relay path per stream: it cannot run with Elastic, Fault, or a non-RankAffine Placement"}
 		}
@@ -635,16 +549,16 @@ func (cfg Config) validate() error {
 		// to an endpoint, which holds on the in-process network but not
 		// across independently flushed TCP streams.
 		switch {
-		case cfg.Elastic.Enabled:
+		case cfg.Staging.Elastic.Enabled:
 			return &ConfigError{Field: "TCPAddr",
 				Reason: "elastic staging is pool-managed; its Retire fencing is unsound over TCP streams"}
 		case cfg.Fault.Enabled:
 			return &ConfigError{Field: "TCPAddr",
 				Reason: "the fault plane is pool-managed; its eviction fencing is unsound over TCP streams"}
-		case cfg.Placement != RankAffine:
+		case cfg.Staging.Placement != RankAffine:
 			return &ConfigError{Field: "TCPAddr",
 				Reason: fmt.Sprintf("placement %v runs the tier pool-managed; its Retire fencing is unsound over TCP streams (only %v works over TCP)",
-					cfg.Placement, RankAffine)}
+					cfg.Staging.Placement, RankAffine)}
 		}
 	}
 	if cfg.Fault.Enabled {
@@ -652,7 +566,7 @@ func (cfg Config) validate() error {
 			return &ConfigError{Field: "Fault",
 				Reason: "the fault plane protects the staging tier; it needs Staging.Stagers ≥ 1"}
 		}
-		if cfg.RoutePolicy == RouteDirect {
+		if cfg.Staging.RoutePolicy == RouteDirect {
 			return &ConfigError{Field: "Fault",
 				Reason: fmt.Sprintf("the fault plane needs a RoutePolicy that can reach the staging tier (valid: %v, %v, %v)",
 					RouteStaging, RouteHybrid, RouteAdaptive)}
@@ -667,7 +581,6 @@ func (cfg Config) validate() error {
 // NewJob validates the configuration, builds the network, staging, and
 // file-system paths, and starts the runtime threads for every endpoint.
 func NewJob(cfg Config) (*Job, error) {
-	cfg = cfg.normalized()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -687,8 +600,8 @@ func NewJob(cfg Config) (*Job, error) {
 		MaxBatchBlocks:       cfg.MaxBatchBlocks,
 		MaxBatchBytes:        cfg.MaxBatchBytes,
 		DisableSteal:         cfg.DisableSteal,
-		RoutePolicy:          cfg.RoutePolicy,
-		Adaptive:             cfg.Adaptive,
+		RoutePolicy:          cfg.Staging.RoutePolicy,
+		Adaptive:             cfg.Staging.Adaptive,
 		Reduce:               cfg.Staging.Reduce,
 		Recorder:             cfg.Recorder,
 	}
@@ -700,50 +613,21 @@ func NewJob(cfg Config) (*Job, error) {
 	// TCPAddr set — a frame-v5 TCP listener hosting every consumer and
 	// stager inbox, each producer on its own dialed connection, and the
 	// stagers forwarding over the listener's loopback.
+	endpoints := cfg.Consumers + cfg.Staging.Stagers
 	var inboxAt func(i int) rt.Inbox
+	var relay rt.Transport // the stagers' forward path to the consumers
 	if cfg.TCPAddr == "" {
-		var net *realenv.Network
-		if cfg.Staging.RingDepth > 0 {
-			net = realenv.NewRingNetwork(cfg.Consumers+cfg.Stagers, cfg.Staging.RingDepth)
-		} else {
-			net = realenv.NewNetwork(cfg.Consumers+cfg.Stagers, window)
-		}
-		j.net = net
-		inboxAt = net.Inbox
+		j.net = realenv.NewNetwork(endpoints, window)
+		inboxAt, relay = j.net.Inbox, j.net
 	} else {
-		var ln *realenv.TCPListener
-		var err error
-		if cfg.Staging.RingDepth > 0 {
-			ln, err = realenv.ListenTCPRing(cfg.TCPAddr, cfg.Consumers+cfg.Stagers, cfg.Staging.RingDepth)
-		} else {
-			ln, err = realenv.ListenTCP(cfg.TCPAddr, cfg.Consumers+cfg.Stagers, window)
-		}
+		ln, err := realenv.ListenTCP(cfg.TCPAddr, endpoints, window)
 		if err != nil {
 			return nil, err
 		}
 		j.ln = ln
-		inboxAt = ln.Inbox
+		inboxAt, relay = ln.Inbox, ln.Loopback()
 	}
-	// Each stager's forwarder is one sending thread, so it gets its own
-	// relay transport port: on the ring network that is a private wait-free
-	// SPSC lane per consumer; on the channel network (and the channel
-	// loopback) the port is the shared multi-producer-safe transport,
-	// byte-identical to earlier revisions.
-	relayPort := func() rt.Transport {
-		if j.ln != nil {
-			return j.ln.LoopbackPort()
-		}
-		return j.net.Port()
-	}
-	// One shared encode pipeline per job when parallel reduction is on:
-	// every producer sender and stager forwarder fans its batch encode out
-	// across the same bounded worker pool. Stateless operators only —
-	// validation already rejected Delta with Workers != 0.
-	if cfg.Staging.Reduce.Enabled() && cfg.Staging.Reduce.Workers != 0 {
-		j.pipe = reduce.NewPipeline(cfg.Staging.Reduce, cfg.Staging.Reduce.Workers)
-		ccfg.ReducePipeline = j.pipe
-	}
-	placed := cfg.Placement != RankAffine
+	placed := cfg.Staging.Placement != RankAffine
 	for q := 0; q < cfg.Consumers; q++ {
 		n := 0
 		for p := 0; p < cfg.Producers; p++ {
@@ -765,7 +649,7 @@ func NewJob(cfg Config) (*Job, error) {
 		// The consumer directory: static membership (every consumer
 		// endpoint), policy-driven per-batch resolution fed by the live
 		// consumer-buffer occupancy gauges.
-		cdir := place.New(cfg.Placement.New(), func(addr int) *flow.Level {
+		cdir := place.New(cfg.Staging.Placement.New(), func(addr int) *flow.Level {
 			return j.cons[addr].c.Level()
 		})
 		for q := 0; q < cfg.Consumers; q++ {
@@ -778,8 +662,8 @@ func NewJob(cfg Config) (*Job, error) {
 	// the job is indistinguishable from a Stagers: 0 run. A stager with no
 	// assigned producer would likewise never terminate, so the tier never
 	// outnumbers the producers.
-	stagers := cfg.Stagers
-	if cfg.RoutePolicy == RouteDirect {
+	stagers := cfg.Staging.Stagers
+	if cfg.Staging.RoutePolicy == RouteDirect {
 		stagers = 0
 	}
 	if stagers > cfg.Producers {
@@ -798,19 +682,19 @@ func NewJob(cfg Config) (*Job, error) {
 		return nil
 	}
 	switch {
-	case cfg.Elastic.Enabled && stagers > 0:
+	case cfg.Staging.Elastic.Enabled && stagers > 0:
 		// Elastic staging tier: spawn the starting pool, hand producers the
 		// epoch-versioned directory instead of a fixed assignment, and start
 		// the scaler. The pool resolves through the configured Placement
 		// policy, fed by the live stager occupancy gauges.
-		ecfg := cfg.Elastic.WithDefaults(stagers)
+		ecfg := cfg.Staging.Elastic.WithDefaults(stagers)
 		if j.faultOn {
 			// Draining a member that may already be dead is unsound (its
 			// Retire would never be consumed); fault mode trades mid-run
 			// drains for crash safety.
 			ecfg.DisableDrain = true
 		}
-		j.pool = place.New(cfg.Placement.New(), stagerLevel)
+		j.pool = place.New(cfg.Staging.Placement.New(), stagerLevel)
 		j.slots = make([]*staging.Stager, ecfg.MaxStagers)
 		var initial []*flow.StagerFlows
 		for s := 0; s < ecfg.MinStagers; s++ {
@@ -835,7 +719,7 @@ func NewJob(cfg Config) (*Job, error) {
 		// needs this shape even under RankAffine placement: an eviction is a
 		// membership epoch, and counted Fins are what let replayed blocks
 		// land after their relay died.
-		j.pool = place.New(cfg.Placement.New(), stagerLevel)
+		j.pool = place.New(cfg.Staging.Placement.New(), stagerLevel)
 		j.slots = make([]*staging.Stager, stagers)
 		for s := 0; s < stagers; s++ {
 			if _, err := j.spawnStager(s); err != nil {
@@ -858,15 +742,14 @@ func NewJob(cfg Config) (*Job, error) {
 				}
 			}
 			scfg := staging.Config{
-				BufferBlocks:   cfg.StagerBufferBlocks,
+				BufferBlocks:   cfg.Staging.BufferBlocks,
 				MaxBatchBlocks: cfg.MaxBatchBlocks,
 				MaxBatchBytes:  cfg.MaxBatchBytes,
 				Producers:      n,
 				Reduce:         cfg.Staging.Reduce,
-				Pipeline:       j.pipe,
 				Recorder:       cfg.Recorder,
 			}
-			j.stage = append(j.stage, staging.NewStager(env, scfg, s, inboxAt(cfg.Consumers+s), relayPort(), spill))
+			j.stage = append(j.stage, staging.NewStager(env, scfg, s, inboxAt(cfg.Consumers+s), relay, spill))
 		}
 		ccfg.StagerLevel = func(addr int) *flow.Level {
 			return j.stage[addr-cfg.Consumers].Level()
@@ -884,11 +767,7 @@ func NewJob(cfg Config) (*Job, error) {
 		if j.pool == nil && stagers > 0 {
 			stager = cfg.Consumers + p%stagers
 		}
-		// Each producer's sender is one sending thread: its own port.
-		var tr rt.Transport
-		if j.net != nil {
-			tr = j.net.Port()
-		}
+		var tr rt.Transport = j.net
 		if j.ln != nil {
 			t, err := realenv.DialTCP(j.ln.Addr())
 			if err != nil {
@@ -929,12 +808,11 @@ func (j *Job) spawnStager(slot int) (*staging.Stager, error) {
 		return nil, err
 	}
 	scfg := staging.Config{
-		BufferBlocks:   j.cfg.StagerBufferBlocks,
+		BufferBlocks:   j.cfg.Staging.BufferBlocks,
 		MaxBatchBlocks: j.cfg.MaxBatchBlocks,
 		MaxBatchBytes:  j.cfg.MaxBatchBytes,
 		Managed:        true,
 		Reduce:         j.cfg.Staging.Reduce,
-		Pipeline:       j.pipe,
 		Recorder:       j.cfg.Recorder,
 	}
 	in := &jobStager{slot: slot, spill: spill}
@@ -951,9 +829,7 @@ func (j *Job) spawnStager(slot int) (*staging.Stager, error) {
 		scfg.Unlease = func() { j.pool.Unlease(addr) }
 		j.pool.Lease(addr, j.fcfg.LeaseTTL, j.env.Ctx().Now())
 	}
-	// A respawned instance's forwarder is a fresh sending thread — it gets
-	// its own port (a new private lane set on the ring network).
-	st := staging.NewStager(j.env, scfg, slot, j.net.Inbox(j.cfg.Consumers+slot), j.net.Port(), spill)
+	st := staging.NewStager(j.env, scfg, slot, j.net.Inbox(j.cfg.Consumers+slot), j.net, spill)
 	in.st = st
 	j.mu.Lock()
 	j.slots[slot] = st
@@ -1182,11 +1058,6 @@ func (j *Job) Wait() {
 		// Fleet tenant: the shared stagers outlive this job. Release its
 		// capacity so the control plane redistributes the slice.
 		j.fleet.jobFinished(j)
-	}
-	if j.pipe != nil {
-		// Every encoding thread (producers, stagers) has joined: the shared
-		// parallel-encode pool can stop its workers.
-		j.pipe.Close()
 	}
 	j.closeWire()
 }

@@ -25,10 +25,10 @@ func TestJobValidation(t *testing.T) {
 		{"negative MaxBatchBlocks", func(c *Config) { c.MaxBatchBlocks = -2 }},
 		{"negative MaxBatchBytes", func(c *Config) { c.MaxBatchBytes = -1 }},
 		{"negative Window", func(c *Config) { c.Window = -1 }},
-		{"negative Stagers", func(c *Config) { c.Stagers = -1 }},
-		{"negative StagerBufferBlocks", func(c *Config) { c.StagerBufferBlocks = -1 }},
-		{"RoutePolicy out of range", func(c *Config) { c.RoutePolicy = RoutePolicy(7) }},
-		{"staging policy without stagers", func(c *Config) { c.RoutePolicy = RouteHybrid }},
+		{"negative Stagers", func(c *Config) { c.Staging.Stagers = -1 }},
+		{"negative StagerBufferBlocks", func(c *Config) { c.Staging.BufferBlocks = -1 }},
+		{"RoutePolicy out of range", func(c *Config) { c.Staging.RoutePolicy = RoutePolicy(7) }},
+		{"staging policy without stagers", func(c *Config) { c.Staging.RoutePolicy = RouteHybrid }},
 	}
 	for _, tc := range bad {
 		cfg := base
@@ -42,7 +42,7 @@ func TestJobValidation(t *testing.T) {
 	// The boundary cases that must stay legal.
 	ok := []func(*Config){
 		func(c *Config) { c.BufferBlocks = 8; c.HighWater = 8 }, // clamped, not rejected
-		func(c *Config) { c.Stagers = 2; c.RoutePolicy = RouteHybrid },
+		func(c *Config) { c.Staging.Stagers = 2; c.Staging.RoutePolicy = RouteHybrid },
 	}
 	for i, mut := range ok {
 		cfg := base
@@ -224,8 +224,8 @@ func TestJobStagingRoundTrip(t *testing.T) {
 	for _, policy := range []RoutePolicy{RouteStaging, RouteHybrid} {
 		job, err := NewJob(Config{
 			Producers: 4, Consumers: 2, SpoolDir: t.TempDir(),
-			Stagers: 2, StagerBufferBlocks: 16, RoutePolicy: policy,
 			BufferBlocks: 8, Window: 1, MaxBatchBlocks: 4,
+			Staging: StagingConfig{Stagers: 2, BufferBlocks: 16, RoutePolicy: policy},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -320,8 +320,8 @@ func TestJobStagingRoundTrip(t *testing.T) {
 func TestJobStagingPreserve(t *testing.T) {
 	job, err := NewJob(Config{
 		Producers: 2, Consumers: 1, SpoolDir: t.TempDir(), Preserve: true,
-		Stagers: 1, StagerBufferBlocks: 8, RoutePolicy: RouteStaging,
 		BufferBlocks: 8, Window: 1,
+		Staging: StagingConfig{Stagers: 1, BufferBlocks: 8, RoutePolicy: RouteStaging},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,5 +388,79 @@ func TestJobPreserve(t *testing.T) {
 	ps := job.Producer(0).Stats()
 	if cs.BlocksStored+ps.BlocksStolen != 5 {
 		t.Fatalf("preserve mode persisted %d+%d blocks, want 5", cs.BlocksStored, ps.BlocksStolen)
+	}
+}
+
+// TestJobReduceIdentityInProcess relays four producers through one stager
+// over the in-process channel network with inline Compress encoding, and
+// checks the conservation law the reduction accounting has always obeyed:
+// every raw payload byte is either carried on the wire or reduced away,
+// across both relay legs (producer→stager, stager→consumer).
+func TestJobReduceIdentityInProcess(t *testing.T) {
+	const (
+		producers  = 4
+		blocks     = 60
+		blockBytes = 8 << 10
+	)
+	job, err := NewJob(Config{
+		Producers: producers, Consumers: 1, SpoolDir: t.TempDir(),
+		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8, DisableSteal: true,
+		Staging: StagingConfig{
+			Stagers: 1, BufferBlocks: producers * blocks,
+			RoutePolicy: RouteStaging,
+			Reduce:      ReduceConfig{Operator: ReduceCompress},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	delivered := 0
+	go func() {
+		defer close(done)
+		for {
+			blk, ok := job.Consumer(0).Read()
+			if !ok {
+				return
+			}
+			want := byte((0 / 64) + blk.ID.Step + blk.ID.Rank)
+			if blk.Data[0] != want {
+				t.Errorf("block %+v did not round-trip through reduction", blk.ID)
+			}
+			delivered++
+			blk.Release()
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		p := p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prod := job.Producer(p)
+			for i := 0; i < blocks; i++ {
+				data := NewPayload(blockBytes)
+				for j := range data {
+					data[j] = byte((j / 64) + i + p)
+				}
+				prod.Write(i, 0, data)
+			}
+			prod.Close()
+		}()
+	}
+	wg.Wait()
+	<-done
+	job.Wait()
+	if delivered != producers*blocks {
+		t.Fatalf("delivered %d blocks, want %d", delivered, producers*blocks)
+	}
+	st := job.Stats()
+	raw := 2 * int64(producers*blocks) * int64(blockBytes)
+	if st.BytesOnWire+st.BytesReduced != raw {
+		t.Fatalf("accounting leak: %d on wire + %d reduced != %d raw",
+			st.BytesOnWire, st.BytesReduced, raw)
+	}
+	if st.BytesReduced == 0 {
+		t.Fatal("compressible payload reduced nothing")
 	}
 }
