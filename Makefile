@@ -17,9 +17,12 @@ vet:
 build:
 	$(GO) build ./...
 
-# Fast lane: paper-figure reproductions are skipped (testing.Short).
+# Fast lane: paper-figure reproductions are skipped (testing.Short). The
+# analysis package runs again under GOAMD64=v3, where the compiler may emit
+# FMA, to hold the moment kernel's bit-identity contract there too.
 test:
 	$(GO) test -race -short ./...
+	GOAMD64=v3 $(GO) test ./internal/analysis
 
 # Tier-1: the full suite including the figure reproductions (~15 s).
 test-full:

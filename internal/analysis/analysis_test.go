@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,6 +42,100 @@ func TestNthMomentOrderIndependent(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		if math.Abs(a.Moment(k)-b.Moment(k)) > 1e-12 {
 			t.Fatalf("moment %d depends on block order", k)
+		}
+	}
+}
+
+// momentRef is the one-sample-at-a-time recurrence NthMoment.Analyze must
+// match bit for bit.
+func momentRef(sums, samples []float64) {
+	for _, u := range samples {
+		p := 1.0
+		for k := range sums {
+			p *= u
+			sums[k] += p
+		}
+	}
+}
+
+// momentInputs returns n samples of one input family: "mixed" draws finite
+// values of both signs whose high powers overflow or pass through the
+// subnormals; "tiny" draws only ±0 and subnormal or near-subnormal values;
+// "special" mixes those with ±Inf, NaN and huge values.
+func momentInputs(family string, n int, rng *rand.Rand) []float64 {
+	tiny := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 1e-310, -2.5e-308, 3e-160, -0.5}
+	special := append([]float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e200, -1e-200, -3, 0.999}, tiny...)
+	out := make([]float64, n)
+	for i := range out {
+		switch family {
+		case "mixed":
+			out[i] = 2.4*rng.Float64() - 1.2
+		case "tiny":
+			out[i] = tiny[rng.Intn(len(tiny))]
+		default:
+			out[i] = special[rng.Intn(len(special))]
+		}
+	}
+	return out
+}
+
+// sameBits fails t unless got and want hold the same float64 bit patterns.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("%s: sums[%d] = %v (%#x), want %v (%#x)", what, k,
+				got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+		}
+	}
+}
+
+func TestNthMomentBitIdentical(t *testing.T) {
+	var lengths []int
+	for n := 0; n <= 2*momentLanes+1; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 8192)
+	rng := rand.New(rand.NewSource(3))
+	for _, family := range []string{"mixed", "tiny", "special"} {
+		for _, order := range []int{1, 2, 3, 4, 5, 7, 288} {
+			for _, n := range lengths {
+				// A short first block leaves nonzero sums for the
+				// second to fold into.
+				first := momentInputs(family, 5, rng)
+				second := momentInputs(family, n, rng)
+				m := NewNthMoment(order)
+				want := make([]float64, order)
+				m.Analyze(first)
+				momentRef(want, first)
+				m.Analyze(second)
+				momentRef(want, second)
+				sameBits(t, fmt.Sprintf("%s order %d len %d", family, order, n), m.sums, want)
+				if m.Count() != int64(5+n) {
+					t.Fatalf("count = %d, want %d", m.Count(), 5+n)
+				}
+			}
+		}
+	}
+}
+
+func TestNthMomentSplitInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, family := range []string{"mixed", "tiny", "special"} {
+		for _, order := range []int{1, 4, 7, 288} {
+			block := momentInputs(family, 4*momentLanes+5, rng)
+			whole := NewNthMoment(order)
+			whole.Analyze(block)
+			for cut := 0; cut <= len(block); cut++ {
+				split := NewNthMoment(order)
+				split.Analyze(block[:cut])
+				split.Analyze(block[cut:])
+				sameBits(t, fmt.Sprintf("%s order %d cut %d", family, order, cut), split.sums, whole.sums)
+				if split.Count() != whole.Count() {
+					t.Fatalf("count %d after split, %d whole", split.Count(), whole.Count())
+				}
+			}
 		}
 	}
 }
@@ -192,5 +287,36 @@ func TestMSDMissingStep(t *testing.T) {
 	m := NewMSD()
 	if _, ok := m.At(9); ok {
 		t.Fatal("At on empty accumulator reported ok")
+	}
+}
+
+// BenchmarkNthMoment times one Analyze call on the block shapes of the
+// insitu-steal (order 288, 64 KiB blocks of samples near 1) and
+// staged-durable (order 4, 16 KiB blocks of 16 levels) workloads.
+func BenchmarkNthMoment(b *testing.B) {
+	for _, bc := range []struct {
+		name                   string
+		order, samples, levels int
+	}{
+		{"order288x8192", 288, 8192, 0},
+		{"order4x2048", 4, 2048, 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			block := make([]float64, bc.samples)
+			for i := range block {
+				if bc.levels > 0 {
+					block[i] = 1 + float64(rng.Intn(bc.levels))/1024
+				} else {
+					block[i] = 0.99 + 0.02*rng.Float64()
+				}
+			}
+			m := NewNthMoment(bc.order)
+			b.SetBytes(int64(8 * len(block)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Analyze(block)
+			}
+		})
 	}
 }

@@ -423,7 +423,10 @@ func (c *Consumer) outputThread(x rt.Ctx) {
 		c.lk.Unlock(x)
 
 		start := x.Now()
-		err := c.fs.WriteBlock(x, target.b)
+		// Store a copy: WriteBlock marks its argument OnDisk, and the
+		// application may be reading the delivered block right now.
+		stored := *target.b
+		err := c.fs.WriteBlock(x, &stored)
 		busy := x.Now() - start
 		if c.cfg.Recorder != nil {
 			c.cfg.Recorder.Add(c.traceName("output"), "store", start, start+busy)
