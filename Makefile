@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test test-full bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control perfbench-check
+.PHONY: ci fmt vet build test test-full bench-smoke bench perfbench-check
 
 ci: fmt vet build test perfbench-check
 
@@ -38,40 +38,8 @@ perfbench-check:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# Regenerate the committed batching baseline.
-bench-batching:
-	$(GO) run ./cmd/benchbatch -o BENCH_batching.json
-
-# Regenerate the committed staging baseline (in-situ vs in-transit vs hybrid).
-bench-staging:
-	$(GO) run ./cmd/benchstaging -o BENCH_staging.json
-
-# Regenerate the committed adaptive-routing baseline (hybrid vs closed-loop).
-bench-adaptive:
-	$(GO) run ./cmd/benchadaptive -o BENCH_adaptive.json
-
-# Regenerate the committed elastic-staging baseline (fixed-small vs
-# fixed-large vs autoscaled pool).
-bench-elastic:
-	$(GO) run ./cmd/benchelastic -o BENCH_elastic.json
-
-# Regenerate the committed placement baseline (rank-affine vs
-# least-occupancy vs hash-ring on the skewed-rate workload).
-bench-placement:
-	$(GO) run ./cmd/benchplacement -o BENCH_placement.json
-
-# Regenerate the committed failover baseline (fault plane off / quiet / with
-# injected stager kills; gates blocks-lost == 0 and mean recovery time).
-bench-failover:
-	$(GO) run ./cmd/benchfailover -o BENCH_failover.json
-
-# Regenerate the committed wire baseline (vectored vs copy frame writer;
-# raw vs compressed bytes over a real-TCP staged job).
-bench-wire:
-	$(GO) run ./cmd/benchwire -o BENCH_wire.json
-
-# Regenerate the committed multi-job control-plane baseline (shared fleet vs
-# peak-provisioned private tiers; gates ≥25% node-second saving, the
-# high-priority tenant within 1.5x its fair-share stall yardstick, zero loss).
-bench-control:
-	$(GO) run ./cmd/benchcontrol -o BENCH_control.json
+# Regenerate the committed baselines: every scenario of the registry in
+# internal/benchharness, one BENCH_<scenario>.json each. Reports are written
+# even when a gate fails; the exit status then names the failed gates.
+bench:
+	$(GO) run ./cmd/zipperbench baseline

@@ -346,7 +346,22 @@ func BenchmarkAblationBarrier(b *testing.B) {
 	})
 }
 
-// --- Batched dual-channel transfers (the per-message-overhead ablation) ---
+// --- Baseline workloads (internal/benchharness) ---
+
+// runVariant runs one baseline variant on a fresh spool directory with the
+// timer on only around the job.
+func runVariant(b *testing.B, v benchharness.Variant) zipper.JobStats {
+	b.Helper()
+	j := v.Job
+	j.Config.SpoolDir = b.TempDir()
+	b.ResetTimer()
+	st, err := benchharness.RunJob(j)
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
 
 // BenchmarkBatching pushes blocks through a one-deep receive window (the
 // regime where the producer runs ahead of the network) under the canonical
@@ -355,22 +370,15 @@ func BenchmarkAblationBarrier(b *testing.B) {
 // batched sends. The msgs/block metric shows batching amortizing the
 // per-message overhead; B/op shows the payload pool closing the allocation
 // loop (~32 KiB/block for the seed vs a few hundred bytes pooled). The
-// workload itself lives in internal/benchharness, shared with cmd/benchbatch
-// so the committed BENCH_batching.json baseline measures the same thing.
+// variants are the batching scenario's, so the committed
+// BENCH_batching.json baseline measures the same thing.
 func BenchmarkBatching(b *testing.B) {
 	const blockBytes = 32 << 10
-	for _, v := range benchharness.Variants {
-		v := v
+	for i, v := range benchharness.BatchingVariants(1) {
 		b.Run(v.Name, func(b *testing.B) {
-			dir := b.TempDir()
 			b.ReportAllocs()
 			b.SetBytes(blockBytes)
-			b.ResetTimer()
-			st, err := benchharness.Run(dir, v, b.N, blockBytes)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
+			st := runVariant(b, benchharness.BatchingVariants(b.N)[i])
 			if st.BlocksSent > 0 {
 				b.ReportMetric(float64(st.Messages)/float64(st.BlocksSent), "msgs/block")
 			}
@@ -379,24 +387,15 @@ func BenchmarkBatching(b *testing.B) {
 }
 
 // BenchmarkStaging runs the consumer-bound staging workload under the three
-// routing modes on the real platform. The stall/op metric is the producer
-// liberation the in-transit tier buys; viaDisk/op the file-system traffic it
-// avoids. The workload lives in internal/benchharness, shared with
-// cmd/benchstaging so the committed BENCH_staging.json baseline measures the
-// same thing.
+// routing modes on the real platform, with a lighter consumer than the
+// committed baseline's. The stall/op metric is the producer liberation the
+// in-transit tier buys; viaDisk/op the file-system traffic it avoids.
 func BenchmarkStaging(b *testing.B) {
-	const blockBytes = 32 << 10
-	for _, v := range benchharness.StagingVariants {
-		v := v
+	const analyze = 50 * time.Microsecond
+	for i, v := range benchharness.StagingVariants(1, analyze) {
 		b.Run(v.Name, func(b *testing.B) {
-			dir := b.TempDir()
-			b.SetBytes(2 * blockBytes) // two producers
-			b.ResetTimer()
-			st, err := benchharness.RunStaging(dir, v, 2, b.N, blockBytes, 50*time.Microsecond)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
+			b.SetBytes(2 * int64(v.Job.BlockBytes)) // two producers
+			st := runVariant(b, benchharness.StagingVariants(b.N, analyze)[i])
 			b.ReportMetric(st.WriteStall/float64(b.N), "stall-s/op")
 			b.ReportMetric(float64(st.BlocksStolen)/float64(b.N), "viaDisk/op")
 			b.ReportMetric(float64(st.BlocksRelayed)/float64(b.N), "relayed/op")
@@ -404,95 +403,62 @@ func BenchmarkStaging(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptive runs the bursty flow scenario under the reactive hybrid
-// policy and the closed-loop adaptive controller. The workload lives in
-// internal/benchharness, shared with cmd/benchadaptive so the committed
-// BENCH_adaptive.json baseline measures the same thing. (The benchmark uses
-// the bursty scenario scaled to b.N; the slow-consumer gate scenario runs at
-// its committed size in the baseline tool only.)
+// BenchmarkAdaptive runs the adaptive scenario's bursty workload under the
+// reactive hybrid policy and the closed-loop adaptive controller, with the
+// burst count scaled to b.N (250 blocks per producer per burst). The
+// slow-consumer gate workload runs at its committed size in the baseline
+// only.
 func BenchmarkAdaptive(b *testing.B) {
-	sc := benchharness.FlowScenarios[1] // bursty
-	for _, v := range benchharness.AdaptiveVariants {
-		v := v
+	bursts := func(n int) int { return (n + 249) / 250 }
+	for i, v := range benchharness.BurstyFlowVariants(1) {
 		b.Run(v.Name, func(b *testing.B) {
-			dir := b.TempDir()
-			run := sc
-			run.Blocks = b.N
-			b.SetBytes(int64(run.Producers) * int64(run.BlockBytes))
-			b.ResetTimer()
-			st, err := benchharness.RunFlow(dir, v, run)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(st.WriteStall/float64(b.N), "stall-s/op")
-			b.ReportMetric(float64(st.BlocksStolen)/float64(b.N), "viaDisk/op")
-			b.ReportMetric(float64(st.BlocksRelayed)/float64(b.N), "relayed/op")
+			v := benchharness.BurstyFlowVariants(bursts(b.N))[i]
+			total := float64(v.Job.Total())
+			b.SetBytes(int64(v.Job.Total()) * int64(v.Job.BlockBytes) / int64(b.N))
+			st := runVariant(b, v)
+			b.ReportMetric(st.WriteStall/total, "stall-s/op")
+			b.ReportMetric(float64(st.BlocksStolen)/total, "viaDisk/op")
+			b.ReportMetric(float64(st.BlocksRelayed)/total, "relayed/op")
 		})
 	}
 }
 
-// BenchmarkElastic runs the bursty elastic-staging scenario under the three
-// pool-sizing variants on the real platform. The stall/op metric is the
-// producer liberation the pool buys; node-s/op the stager provisioning it
-// costs — elastic should land between the fixed pools on neither axis's bad
-// side. The workload lives in internal/benchharness, shared with
-// cmd/benchelastic so the committed BENCH_elastic.json baseline measures
-// the same thing. (The benchmark scales burst length to b.N; the committed
-// gate runs at the baseline size in the tool only.)
+// BenchmarkElastic runs the elastic scenario's bursty workload under the
+// three pool-sizing variants, shortened to two bursts 50 ms apart with the
+// burst length scaled to b.N. The stall/op metric is the producer
+// liberation the pool buys; node-s/op the stager provisioning it costs —
+// elastic should land between the fixed pools on neither axis's bad side.
 func BenchmarkElastic(b *testing.B) {
-	sc := benchharness.ElasticScenarioDefault
-	sc.Bursts = 2
-	sc.BurstPause = 50 * time.Millisecond
-	for _, v := range benchharness.ElasticVariants {
-		v := v
+	const bursts, pause = 2, 50 * time.Millisecond
+	for i, v := range benchharness.ElasticVariants(bursts, 1, pause) {
 		b.Run(v.Name, func(b *testing.B) {
-			run := sc
-			run.BurstBlocks = (b.N + run.Bursts - 1) / run.Bursts
-			total := run.Producers * run.Bursts * run.BurstBlocks
-			b.SetBytes(int64(run.Producers) * int64(run.BlockBytes))
-			b.ResetTimer()
-			st, err := benchharness.RunElastic(b.TempDir(), v, run)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(st.WriteStall/float64(total), "stall-s/op")
-			b.ReportMetric(st.StagerNodeSeconds/float64(total), "node-s/op")
-			b.ReportMetric(float64(st.BlocksRelayed)/float64(total), "relayed/op")
+			v := benchharness.ElasticVariants(bursts, (b.N+bursts-1)/bursts, pause)[i]
+			total := float64(v.Job.Total())
+			b.SetBytes(int64(v.Job.Config.Producers) * int64(v.Job.BlockBytes))
+			st := runVariant(b, v)
+			b.ReportMetric(st.WriteStall/total, "stall-s/op")
+			b.ReportMetric(st.StagerNodeSeconds/total, "node-s/op")
+			b.ReportMetric(float64(st.BlocksRelayed)/total, "relayed/op")
 		})
 	}
 }
 
-// BenchmarkPlacement compares the placement policies on the skewed-rate
-// staging workload: imbalance is the per-stager relayed max/mean ratio the
-// load-aware policy exists to shrink, stall-s/op the producer liberation it
-// buys. The workload lives in internal/benchharness, shared with
-// cmd/benchplacement so the committed BENCH_placement.json baseline
-// measures the same thing. (The benchmark scales the skewed burst to b.N;
-// the committed ≥2x-imbalance gate runs at the baseline size in the tool
-// only.)
+// BenchmarkPlacement compares the placement policies on the placement
+// scenario's skewed-rate workload, shortened to two bursts 30 ms apart with
+// the fast producer's burst scaled to b.N: imbalance is the per-stager
+// relayed max/mean ratio the load-aware policy exists to shrink, stall-s/op
+// the producer liberation it buys. The ≥2x-imbalance gate runs at the
+// committed size in the baseline only.
 func BenchmarkPlacement(b *testing.B) {
-	sc := benchharness.PlacementScenarioDefault
-	sc.Bursts = 2
-	sc.BurstPause = 30 * time.Millisecond
-	for _, v := range benchharness.PlacementVariants {
-		v := v
+	const bursts, pause = 2, 30 * time.Millisecond
+	// At least 10 keeps the 10:1 skew shape at benchtime 1x.
+	fast := func(n int) int { return max(10, (n+bursts-1)/bursts) }
+	for i, v := range benchharness.PlacementVariants(bursts, fast(1), pause) {
 		b.Run(v.Name, func(b *testing.B) {
-			run := sc
-			fast := (b.N + run.Bursts - 1) / run.Bursts
-			if fast < 10 {
-				fast = 10 // keep the 10:1 skew shape at benchtime 1x
-			}
-			run.BurstBlocks = []int{fast, fast / 10, fast / 10, fast / 10}
-			total := run.Total()
-			b.SetBytes(total * int64(run.BlockBytes) / int64(b.N))
-			b.ResetTimer()
-			st, err := benchharness.RunPlacement(b.TempDir(), v, run)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
+			v := benchharness.PlacementVariants(bursts, fast(b.N), pause)[i]
+			total := v.Job.Total()
+			b.SetBytes(total * int64(v.Job.BlockBytes) / int64(b.N))
+			st := runVariant(b, v)
 			b.ReportMetric(st.RelayImbalance, "imbalance")
 			b.ReportMetric(st.WriteStall/float64(total), "stall-s/op")
 		})

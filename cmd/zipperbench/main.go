@@ -1,9 +1,13 @@
 // zipperbench regenerates the paper's tables and figures on the simulated
 // platform. Each subcommand prints the same rows or series the paper
 // reports; compare shapes (ordering, ratios, crossovers) per EXPERIMENTS.md.
+// The baseline subcommand runs the committed baseline scenarios instead
+// (internal/benchharness), writes one BENCH_<scenario>.json per scenario
+// into DIR (default "."), and exits 1 naming every failed gate.
 //
 // Usage:
 //
+//	zipperbench baseline [-o DIR] [scenario...]
 //	zipperbench table1|table2|table3
 //	zipperbench fig2   [-steps N] [-scale K]
 //	zipperbench fig4|fig5|fig6
@@ -23,9 +27,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"zipper/internal/apps/synthetic"
+	"zipper/internal/benchharness"
 	"zipper/internal/core"
 	"zipper/internal/exp"
 	"zipper/internal/model"
@@ -37,6 +45,9 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
+	if cmd == "baseline" {
+		os.Exit(baseline(os.Args[2:]))
+	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	steps := fs.Int("steps", 0, "time steps (0 = experiment default)")
 	scale := fs.Int("scale", 8, "rank-count divisor for fig2 (1 = paper scale)")
@@ -147,6 +158,60 @@ func main() {
 	}
 }
 
+// baseline runs the named scenarios (all when none are named) in registry
+// order. Every selected scenario's report is written, failing or not,
+// before the exit status reports the failures.
+func baseline(args []string) int {
+	fs := flag.NewFlagSet("baseline", flag.ExitOnError)
+	out := fs.String("o", ".", "directory for the BENCH_<scenario>.json reports")
+	_ = fs.Parse(args)
+	var names []string
+	for _, sc := range benchharness.Scenarios {
+		names = append(names, sc.Name)
+	}
+	for _, n := range fs.Args() {
+		if !slices.Contains(names, n) {
+			fmt.Fprintf(os.Stderr, "zipperbench baseline: unknown scenario %q (have %s)\n", n, strings.Join(names, " "))
+			return 2
+		}
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		fmt.Fprintln(os.Stderr, "zipperbench baseline:", err)
+		return 1
+	}
+	var failed []string
+	for _, sc := range benchharness.Scenarios {
+		if fs.NArg() > 0 && !slices.Contains(fs.Args(), sc.Name) {
+			continue
+		}
+		rep := sc.Execute(os.Stderr)
+		for _, v := range rep.Gates {
+			verdict := "pass"
+			if !v.Pass {
+				verdict = "FAIL"
+			}
+			fmt.Printf("%-10s %-28s %14.6g %-2s %-14.6g %s\n", sc.Name, v.Name, v.Value, v.Op, v.Bound, verdict)
+		}
+		if rep.Error != "" {
+			fmt.Printf("%-10s run failed: %s\n", sc.Name, rep.Error)
+		}
+		for _, g := range rep.Failed() {
+			failed = append(failed, sc.Name+"/"+g)
+		}
+		path := filepath.Join(*out, "BENCH_"+sc.Name+".json")
+		if err := rep.Write(path); err != nil {
+			fmt.Fprintln(os.Stderr, "zipperbench baseline:", err)
+			return 1
+		}
+		fmt.Printf("wrote %s\n", path)
+	}
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "zipperbench baseline: failed: %s\n", strings.Join(failed, ", "))
+		return 1
+	}
+	return 0
+}
+
 func printTrace(f exp.TraceFigure) {
 	fmt.Println(f.Title)
 	fmt.Print(f.Gantt)
@@ -156,6 +221,7 @@ func printTrace(f exp.TraceFigure) {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: zipperbench <experiment> [flags]
+       zipperbench baseline [-o DIR] [scenario...]
 experiments: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig11 fig12 fig13
              fig14 fig15 fig16 fig17 fig18 fig19 model all
 flags:       -steps N  -scale K  -producers P  -cores N  -full`)

@@ -36,7 +36,8 @@ type WireBenchResult struct {
 // sink. vectoredMin is handed to SetVectoredMin — pass a negative value to
 // force the buffered-copy path (the pre-v5 behavior) and 0 for the default
 // vectored threshold, so callers can put the two paths side by side. It
-// backs cmd/benchwire; the committed BENCH_wire.json gates on its numbers.
+// backs the wire baseline scenario; the committed BENCH_wire.json gates on
+// its numbers.
 func BenchWriteFrame(frames, blocks, blockBytes, vectoredMin int) WireBenchResult {
 	sink := &sinkConn{}
 	tr := newTCPTransport(sink)

@@ -4,7 +4,8 @@ package workflow
 // jobs share one in-transit stager tier under the control plane, clocked
 // entirely by virtual time so admission, fair-share reconciles, and
 // preemptions land at bit-for-bit reproducible instants. This is the
-// harness the multi-tenant acceptance tests and cmd/benchcontrol drive.
+// harness the multi-tenant acceptance tests and the control baseline
+// scenario drive.
 
 import (
 	"fmt"

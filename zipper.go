@@ -342,11 +342,11 @@ type Config struct {
 	// producer its own dialed connection. Stagers forward to consumers over
 	// the listener's loopback. Endpoints still share the process; what
 	// changes is that payloads traverse the kernel TCP stack through the
-	// vectored zero-copy frame writer — the configuration cmd/benchwire
-	// measures. Pool-managed staging tiers (Elastic, Fault, or a
-	// non-RankAffine Placement) are rejected over TCP: their Retire fencing
-	// needs delivery ordering across endpoints that concurrent TCP streams
-	// do not provide.
+	// vectored zero-copy frame writer — the configuration the wire baseline
+	// (`zipperbench baseline wire`) measures. Pool-managed staging tiers
+	// (Elastic, Fault, or a non-RankAffine Placement) are rejected over TCP:
+	// their Retire fencing needs delivery ordering across endpoints that
+	// concurrent TCP streams do not provide.
 	TCPAddr string
 	// Staging groups the in-transit staging tier's configuration.
 	Staging StagingConfig
